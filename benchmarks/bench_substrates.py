@@ -40,20 +40,23 @@ def test_event_engine_throughput(benchmark, save_baseline):
         engine.run()
 
     benchmark(run_events)
+    mean_s = benchmark.stats.stats.mean
     save_baseline("substrate_engine", {
-        "mean_s": benchmark.stats.stats.mean,
+        "mean_s": mean_s,
         "events_per_call": 5000,
+        "events_per_s": 5000 / mean_s,
     })
 
 
-def test_simulated_load_throughput(benchmark):
+def test_simulated_load_throughput(benchmark, save_baseline):
     from repro.sim import SimConfig, simulate_app
 
-    benchmark(
-        simulate_app,
-        "masstree",
-        SimConfig(qps=4000, measure_requests=3000, warmup_requests=300),
-    )
+    config = SimConfig(qps=4000, measure_requests=3000, warmup_requests=300)
+    benchmark(simulate_app, "masstree", config)
+    save_baseline("substrate_sim", {
+        "mean_s": benchmark.stats.stats.mean,
+        "sim_requests_per_s": config.total_requests / benchmark.stats.stats.mean,
+    })
 
 
 def test_btree_put_get(benchmark, save_baseline):

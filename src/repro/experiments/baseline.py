@@ -240,6 +240,9 @@ def validate_directory(
 # Metric names carry their own improvement direction: throughputs
 # should not drop, latencies should not rise, and anything
 # unrecognized must simply stay inside the band in both directions.
+# A rate per unit of time (``events_per_s``) is a throughput even
+# though it ends in a time unit, so it is matched first.
+_RATES = ("_per_s", "_per_ms", "_per_us")
 _HIGHER_BETTER = (
     "qps", "throughput", "goodput", "speedup", "scaling", "ratio", "ops",
     "success_rate", "count",
@@ -259,6 +262,8 @@ def metric_direction(key: str) -> str:
     treated as lower-better too.
     """
     lowered = key.lower()
+    if lowered.endswith(_RATES):
+        return "higher"
     if any(tok in lowered for tok in _LOWER_BETTER):
         return "lower"
     if any(tok in lowered for tok in _HIGHER_BETTER):

@@ -432,6 +432,10 @@ class _Topology:
         self._sink: Optional[Callable[[Request], None]] = None
         self._outstanding = [0] * len(servers)
         self.routed = [0] * len(servers)
+        # Ids of the non-draining servers, rebuilt only when membership
+        # changes; routing passes it (and ``_outstanding``) to the
+        # balancer read-only instead of copying both per arrival.
+        self._active = self._scan_active()
         #: Hook run on every runtime-added server (gauge registration).
         self.on_server_added: Optional[Callable[[SimulatedServer], None]] = None
 
@@ -446,6 +450,9 @@ class _Topology:
         return list(self._outstanding)
 
     def active_ids(self) -> List[int]:
+        return list(self._active)
+
+    def _scan_active(self) -> List[int]:
         return [
             server.server_id
             for server in self._servers
@@ -461,6 +468,7 @@ class _Topology:
         self._servers.append(server)
         self._outstanding.append(0)
         self.routed.append(0)
+        self._active = self._scan_active()
         if self._sink is not None:
             server.set_response_callback(self._sink)
         if self.on_server_added is not None:
@@ -473,14 +481,14 @@ class _Topology:
         Work already queued on it still completes — the server object
         stays in place, exactly like the live transport's drain.
         """
-        active = [s for s in self._servers if not s.draining]
-        if len(active) <= 1:
+        if len(self._active) <= 1:
             return None
-        server = active[-1]
+        server = self._servers[self._active[-1]]
         server.draining = True
         server.drained_at = (
             self._engine.now if self._engine is not None else None
         )
+        self._active = self._scan_active()
         return server.server_id
 
     def submit_attempt(
@@ -506,22 +514,18 @@ class _Topology:
                     if request.sent_at is not None
                     else request.generated_at
                 )
-                candidates, forced = self._health.route(
-                    self.active_ids(), now
-                )
+                candidates, forced = self._health.route(self._active, now)
                 if forced:
                     # Probation probe / breaker trial: route directly.
                     request.server_id = candidates[0]
                 else:
                     request.server_id = pick_active(
-                        self._balancer, self.depths(), candidates,
+                        self._balancer, self._outstanding, candidates,
                         avoid=avoid,
                     )
             else:
                 request.server_id = pick_active(
-                    self._balancer,
-                    self.depths(),
-                    self.active_ids(),
+                    self._balancer, self._outstanding, self._active,
                     avoid=avoid,
                 )
         server_id = request.server_id
@@ -1108,12 +1112,11 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
             engine, topology, config.resilience, collector, injector,
             seed=config.seed, tracer=tracer, health=health,
         )
-        for generated_at in schedule:
-            engine.at(generated_at, client.begin, generated_at)
+        engine.at_each(schedule.times, client.begin)
     elif config.fanout.enabled:
-        # Scatter-gather: every arrival pre-scheduled at build time
-        # like the direct path — one pinned sub-request per shard, no
-        # balancer draws, no routing events on the heap. At K=1 the
+        # Scatter-gather: every arrival's sub-requests are pushed at
+        # build time — one pinned sub-request per shard, no balancer
+        # draws, no routing events on the heap. At K=1 the
         # sub-request schedule, request construction order, and
         # per-server RNG streams coincide with the direct path's, so
         # an enabled fan-out of 1 replays the unsharded simulator
@@ -1142,16 +1145,12 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
                 request.server_id = shard
                 topology.submit_attempt(request)
     elif config.n_servers == 1 and plane is None:
-        # Original direct path: no routing events on the heap, so the
-        # single-server event stream is byte-identical to before. With
+        # Direct path: each arrival event is the server-side arrival
+        # itself (no routing event), so the single-server event stream
+        # is the original one. With
         # the cache on, each arrival carries a key from the dedicated
         # Zipf stream; off, payload stays None and nothing is drawn.
-        if next_cache_key is not None:
-            for generated_at in schedule:
-                servers[0].submit(generated_at, payload=next_cache_key())
-        else:
-            for generated_at in schedule:
-                servers[0].submit(generated_at)
+        servers[0].submit_schedule(schedule.times, next_cache_key)
         topology.routed[0] = len(schedule)
     else:
 
@@ -1178,8 +1177,7 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
         # The routing decision runs *at* the arrival instant, when the
         # depth vector reflects the simulated present — not at schedule
         # build time, when every queue is empty.
-        for generated_at in schedule:
-            engine.at(generated_at, begin, generated_at)
+        engine.at_each(schedule.times, begin)
     engine.run()
     if client is not None:
         client.finalize()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from ..core.collector import StatsCollector
 from ..core.queueing import FifoBuffer, QueueSnapshot
@@ -174,6 +174,42 @@ class SimulatedServer:
         request = Request(payload=payload, generated_at=generated_at)
         request.sent_at = generated_at
         self.submit_request(request)
+
+    def submit_schedule(
+        self,
+        times: Sequence[float],
+        next_payload: Optional[Callable[[], object]] = None,
+    ) -> None:
+        """:meth:`submit` one request per instant of the sorted ``times``.
+
+        Event for event the same as calling :meth:`submit` for each
+        instant in order, but through the engine's arrival schedule
+        (:meth:`Engine.at_each`): the requests are built as they arrive
+        instead of all sitting on the event heap from time 0.
+        ``next_payload`` supplies each request's payload in schedule
+        order.
+        """
+        if self._live is not None:
+            # submit() observes each send when it is called, so every
+            # send of the schedule is observed before the run starts.
+            for generated_at in times:
+                self._live.observe_sent(generated_at)
+        wire = self._network.wire_latency_each_way
+        pending = iter(times)
+
+        def arrive(_: float) -> None:
+            generated_at = next(pending)
+            request = Request(
+                payload=next_payload() if next_payload is not None else None,
+                generated_at=generated_at,
+            )
+            request.sent_at = generated_at
+            request.server_id = self.server_id
+            self._on_arrival(request)
+
+        # The arrival instant as submit_request computes it:
+        # sent_at + wire + extra_delay, with no extra delay.
+        self._engine.at_each([t + wire + 0.0 for t in times], arrive)
 
     def submit_request(self, request: Request, extra_delay: float = 0.0) -> None:
         """Schedule an already-built attempt (``sent_at`` stamped).

@@ -135,6 +135,8 @@ class TestCompare:
         assert metric_direction("speedup_4proc") == "higher"
         assert metric_direction("service_time_ms") == "lower"
         assert metric_direction("n_apps") == "both"
+        assert metric_direction("events_per_s") == "higher"
+        assert metric_direction("sim_requests_per_s") == "higher"
 
     def test_within_tolerance_passes(self):
         baseline = {"qps": 100.0, "p99_s": 0.010}
