@@ -32,6 +32,7 @@ from .config import (
     FanoutConfig,
     HarnessConfig,
     ObservabilityConfig,
+    RunConfig,
     SystemConfig,
 )
 from .fanout import FanoutClient, FanoutGatherer, FanoutStats
@@ -85,6 +86,7 @@ __all__ = [
     "ExecutionConfig",
     "FanoutConfig",
     "HarnessConfig",
+    "RunConfig",
     "ObservabilityConfig",
     "SystemConfig",
     "FanoutClient",

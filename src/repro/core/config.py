@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, ClassVar, Optional, Tuple
 
 from ..batching.config import NO_BATCHING, BatchingConfig
 from ..control.config import NO_CONTROL, ControlPlaneConfig
@@ -19,6 +19,7 @@ __all__ = [
     "FanoutConfig",
     "HarnessConfig",
     "ObservabilityConfig",
+    "RunConfig",
     "SloConfig",
     "SystemConfig",
     "PAPER_SYSTEM",
@@ -356,9 +357,28 @@ class CacheConfig:
 NO_CACHE = CacheConfig()
 
 
+#: A composition rule: ``(predicate, reason)``. A config for which the
+#: predicate holds is rejected with ``ValueError(reason)``.
+Rule = Tuple[Callable[["RunConfig"], bool], str]
+
+
+def _outside_autoscaler_band(c: "RunConfig") -> bool:
+    scaler = c.control.autoscaler
+    return (
+        c.control.enabled
+        and scaler is not None
+        and not scaler.min_servers <= c.n_servers <= scaler.max_servers
+    )
+
+
 @dataclass(frozen=True)
-class HarnessConfig:
-    """One load-testing run's parameters.
+class RunConfig:
+    """One run's parameters, shared by the live harness and the simulator.
+
+    :class:`HarnessConfig` (wall clock) and
+    :class:`repro.sim.SimConfig` (virtual time) add their substrate's
+    own fields and composition rules; everything here means the same in
+    both.
 
     Attributes
     ----------
@@ -367,7 +387,7 @@ class HarnessConfig:
     qps:
         Offered load (mean arrival rate) in queries per second.
     n_threads:
-        Application worker threads.
+        Application worker threads per server instance.
     warmup_requests:
         Leading completions discarded to reach steady state.
     measure_requests:
@@ -375,8 +395,6 @@ class HarnessConfig:
     seed:
         RNG seed for the arrival schedule and payload stream; repeated
         runs use different seeds (hysteresis countermeasure, Sec. IV-C).
-    one_way_delay:
-        Modelled wire delay for the networked configuration.
     deterministic_arrivals:
         Use fixed interarrival gaps instead of exponential (testing /
         calibration only; real measurements keep the Poisson default).
@@ -436,27 +454,20 @@ class HarnessConfig:
         sequence of fault-plan phases played back by a scheduler
         thread (live) or engine events (simulator). Composes over
         ``faults`` as the steady-state base plan.
-    execution:
-        Execution substrate (see :class:`ExecutionConfig`):
-        ``threaded`` (default, bit-identical with prior builds) or
-        ``process`` (one OS process per replica — multi-core scaling).
-        Process mode requires the ``integrated`` configuration and
-        supports autoscaling, batching, health, resilience, static
-        fault plans, and observability; admission control, priority
-        scheduling, and chaos scenarios need shared-memory access to
-        the replicas' queues and stay threaded-only.
     fanout:
         Scatter-gather request shape (see :class:`FanoutConfig`) for
         sharded applications: each logical request visits every server
         instance and completes at the gather point. Disabled by
         default — requests then route through the balancer unchanged.
-        Requires ``n_servers == fanout.shards`` and an application
-        exposing ``merge_responses`` (see
-        :class:`repro.apps.ShardedApp`); composes with batching and
-        observability, but not with resilience/control/health/faults
-        (a retried, dropped, or rerouted sub-request would break the
-        all-shards-answer gather contract) nor process execution
-        (replica processes do not ship response payloads back).
+        Live runs need an application exposing ``merge_responses``
+        (see :class:`repro.apps.ShardedApp`).
+    cache:
+        Request/result caching tier (see :class:`CacheConfig` and
+        :mod:`repro.cache`); disabled by default.
+
+    Feature pairs that cannot run together are rejected at
+    construction by the rows of :attr:`RULES` (DESIGN.md §16 lists
+    them with their reasons).
     """
 
     configuration: str = "integrated"
@@ -465,7 +476,6 @@ class HarnessConfig:
     warmup_requests: int = 100
     measure_requests: int = 2000
     seed: int = 0
-    one_way_delay: float = 25e-6
     deterministic_arrivals: bool = False
     resilience: ResilienceConfig = NO_RESILIENCE
     faults: Optional[FaultPlan] = None
@@ -479,9 +489,57 @@ class HarnessConfig:
     load_profile: Optional[Tuple[Tuple[float, float], ...]] = None
     health: HealthConfig = NO_HEALTH
     scenario: Optional[Scenario] = None
-    execution: ExecutionConfig = THREADED
     fanout: FanoutConfig = NO_FANOUT
     cache: CacheConfig = NO_CACHE
+
+    #: Composition rules both substrates enforce, checked in order.
+    #: Subclasses append their own rows.
+    RULES: ClassVar[Tuple[Rule, ...]] = (
+        (
+            _outside_autoscaler_band,
+            "n_servers must lie within the autoscaler's "
+            "[min_servers, max_servers] band",
+        ),
+        (
+            lambda c: c.fanout.enabled and c.n_servers != c.fanout.shards,
+            "fan-out requires n_servers == fanout.shards: each shard "
+            "holds a disjoint partition, so a logical request must "
+            "visit every server",
+        ),
+        (
+            lambda c: c.fanout.enabled and c.resilience.enabled,
+            "fan-out sub-requests are pinned to their shard; "
+            "retries/hedges would reroute them, so resilience cannot be "
+            "combined with fan-out",
+        ),
+        (
+            lambda c: c.fanout.enabled
+            and (c.control.enabled or c.health.enabled),
+            "control-plane and health policies drop or reroute "
+            "individual requests, which would break the "
+            "all-shards-answer gather contract; disable them under "
+            "fan-out",
+        ),
+        (
+            lambda c: c.fanout.enabled
+            and (c.faults is not None or c.scenario is not None),
+            "fault injection can drop sub-requests, leaving gathers "
+            "forever incomplete; fan-out does not compose with "
+            "faults/scenarios",
+        ),
+        (
+            lambda c: c.cache.enabled and c.batching.enabled,
+            "the batched worker loop services whole batches with one "
+            "application call and has no per-request hit path; caching "
+            "does not compose with batching",
+        ),
+        (
+            lambda c: c.cache.enabled and c.fanout.enabled,
+            "fan-out sub-requests carry partial per-shard responses "
+            "that are only meaningful to their gather; caching does not "
+            "compose with fan-out",
+        ),
+    )
 
     def __post_init__(self) -> None:
         if self.configuration not in _CONFIG_NAMES:
@@ -495,8 +553,6 @@ class HarnessConfig:
             raise ValueError("n_threads must be >= 1")
         if self.warmup_requests < 0 or self.measure_requests < 1:
             raise ValueError("invalid request counts")
-        if self.one_way_delay < 0:
-            raise ValueError("one_way_delay must be non-negative")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1 (or None)")
         if self.n_servers < 1:
@@ -521,105 +577,94 @@ class HarnessConfig:
                     raise ValueError(
                         "load_profile durations and qps must be positive"
                     )
-        if self.control.enabled and self.control.autoscaler is not None:
-            scaler = self.control.autoscaler
-            if not (
-                scaler.min_servers <= self.n_servers <= scaler.max_servers
-            ):
-                raise ValueError(
-                    "n_servers must lie within the autoscaler's "
-                    "[min_servers, max_servers] band"
-                )
-        if self.execution.mode == "process":
-            if self.configuration != "integrated":
-                raise ValueError(
-                    "process execution requires the 'integrated' "
-                    "configuration: the replica pipe is the transport "
-                    f"(got {self.configuration!r})"
-                )
-            if self.control.enabled and (
-                self.control.admission is not None
-                or self.control.priority is not None
-            ):
-                raise ValueError(
-                    "admission control and priority scheduling need "
-                    "shared-memory access to replica queues; process "
-                    "execution supports the autoscaler only"
-                )
-            if self.scenario is not None:
-                raise ValueError(
-                    "chaos scenarios mutate fault plans at run time and "
-                    "cannot reach replica processes; process execution "
-                    "supports static fault plans only"
-                )
-        if self.fanout.enabled:
-            if self.n_servers != self.fanout.shards:
-                raise ValueError(
-                    "fan-out requires n_servers == fanout.shards: each "
-                    "shard holds a disjoint partition, so a logical "
-                    "request must visit every server "
-                    f"(n_servers={self.n_servers}, "
-                    f"shards={self.fanout.shards})"
-                )
-            if self.resilience.enabled:
-                raise ValueError(
-                    "fan-out sub-requests are pinned to their shard; "
-                    "retries/hedges would reroute them, so resilience "
-                    "cannot be combined with fan-out"
-                )
-            if self.control.enabled or self.health.enabled:
-                raise ValueError(
-                    "control-plane and health policies drop or reroute "
-                    "individual requests, which would break the "
-                    "all-shards-answer gather contract; disable them "
-                    "under fan-out"
-                )
-            if self.faults is not None or self.scenario is not None:
-                raise ValueError(
-                    "fault injection can drop sub-requests, leaving "
-                    "gathers forever incomplete; fan-out does not "
-                    "compose with faults/scenarios"
-                )
-            if self.execution.mode == "process":
-                raise ValueError(
-                    "replica processes do not ship response payloads "
-                    "back to the parent, so the gather point cannot "
-                    "merge; fan-out is threaded-only"
-                )
-        if self.cache.enabled:
-            if self.batching.enabled:
-                raise ValueError(
-                    "the batched worker loop services whole batches "
-                    "with one application call and has no per-request "
-                    "hit path; caching does not compose with batching"
-                )
-            if self.fanout.enabled:
-                raise ValueError(
-                    "fan-out sub-requests carry partial per-shard "
-                    "responses that are only meaningful to their "
-                    "gather; caching does not compose with fan-out"
-                )
-            if self.execution.mode == "process":
-                raise ValueError(
-                    "the cache is shared in-process state; replica "
-                    "processes cannot reach it, so caching is "
-                    "threaded-only"
-                )
+        for rejects, reason in self.RULES:
+            if rejects(self):
+                raise ValueError(reason)
 
     @property
     def total_requests(self) -> int:
         return self.warmup_requests + self.measure_requests
 
     # dataclasses.replace keeps these honest as fields are added: a
-    # hand-copied field list would silently drop new ones.
-    def with_seed(self, seed: int) -> "HarnessConfig":
+    # hand-copied field list would silently drop new ones. Each returns
+    # the caller's own subclass, and validation re-runs.
+    def with_seed(self, seed: int):
         return dataclasses.replace(self, seed=seed)
 
-    def with_qps(self, qps: float) -> "HarnessConfig":
+    def with_qps(self, qps: float):
         return dataclasses.replace(self, qps=qps)
 
-    def replace(self, **changes) -> "HarnessConfig":
+    def replace(self, **changes):
         return dataclasses.replace(self, **changes)
+
+
+def _process(c: "RunConfig") -> bool:
+    return c.execution.mode == "process"
+
+
+@dataclass(frozen=True)
+class HarnessConfig(RunConfig):
+    """One live (wall-clock) load-testing run's parameters.
+
+    Adds to :class:`RunConfig`:
+
+    Attributes
+    ----------
+    one_way_delay:
+        Modelled wire delay for the networked configuration.
+    execution:
+        Execution substrate (see :class:`ExecutionConfig`):
+        ``threaded`` (default, bit-identical with prior builds) or
+        ``process`` (one OS process per replica — multi-core scaling).
+        Its composition rows are appended to :attr:`RunConfig.RULES`.
+    """
+
+    qps: float = 100.0
+    warmup_requests: int = 100
+    measure_requests: int = 2000
+    one_way_delay: float = 25e-6
+    execution: ExecutionConfig = THREADED
+
+    RULES = RunConfig.RULES + (
+        (
+            lambda c: _process(c) and c.configuration != "integrated",
+            "process execution requires the 'integrated' configuration: "
+            "the replica pipe is the transport",
+        ),
+        (
+            lambda c: _process(c)
+            and c.control.enabled
+            and (
+                c.control.admission is not None
+                or c.control.priority is not None
+            ),
+            "admission control and priority scheduling need "
+            "shared-memory access to replica queues; process execution "
+            "supports the autoscaler only",
+        ),
+        (
+            lambda c: _process(c) and c.scenario is not None,
+            "chaos scenarios mutate fault plans at run time and cannot "
+            "reach replica processes; process execution supports static "
+            "fault plans only",
+        ),
+        (
+            lambda c: _process(c) and c.fanout.enabled,
+            "replica processes do not ship response payloads back to the "
+            "parent, so the gather point cannot merge; fan-out is "
+            "threaded-only",
+        ),
+        (
+            lambda c: _process(c) and c.cache.enabled,
+            "the cache is shared in-process state; replica processes "
+            "cannot reach it, so caching is threaded-only",
+        ),
+    )
+
+    def __post_init__(self) -> None:
+        if self.one_way_delay < 0:
+            raise ValueError("one_way_delay must be non-negative")
+        super().__post_init__()
 
 
 @dataclass(frozen=True)

@@ -20,26 +20,15 @@ same seed yields byte-identical results.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..core.balancer import BALANCERS, LoadBalancer, make_balancer, pick_active
-from ..batching.config import NO_BATCHING, BatchingConfig
+from ..core.balancer import LoadBalancer, make_balancer, pick_active
 from ..core.collector import CollectedStats, StatsCollector
-from ..core.config import (
-    NO_CACHE,
-    NO_CONTROL,
-    NO_FANOUT,
-    NO_OBSERVABILITY,
-    NO_RESILIENCE,
-    CacheConfig,
-    ControlPlaneConfig,
-    FanoutConfig,
-    ObservabilityConfig,
-)
+from ..core.config import RunConfig
+from ..core.layers import RunResultMixin, build_layers
 from ..core.request import Request
 from ..core.resilience import (
     ResilienceConfig,
@@ -47,10 +36,7 @@ from ..core.resilience import (
     backoff_delay,
     effective_attempt_timeout,
 )
-from ..core.traffic import ArrivalSchedule, DeterministicArrivals, PoissonArrivals
-from ..faults import FaultInjector, FaultPlan, Scenario, ScenarioInjector
-from ..health.config import NO_HEALTH, HealthConfig
-from ..stats import LatencySummary
+from ..faults import FaultInjector, ScenarioInjector
 from .calibration import AppProfile, paper_profile
 from .engine import Engine
 from .network_model import network_model_for
@@ -60,201 +46,55 @@ __all__ = ["SimConfig", "SimResult", "simulate_load", "simulate_app"]
 
 
 @dataclass(frozen=True)
-class SimConfig:
-    """Parameters of one virtual-time measurement run."""
+class SimConfig(RunConfig):
+    """Parameters of one virtual-time measurement run.
+
+    Adds to :class:`repro.core.RunConfig` the machine-model switches
+    below. Shared fields keep their live meaning, with two virtual-time
+    notes: ``n_clients`` never changes results (the round-robin split
+    re-merges into the identical event sequence), and an enabled cache
+    draws synthetic Zipfian keys (``CacheConfig.sim_keyspace`` /
+    ``sim_theta``) from a dedicated RNG stream, consuming each service
+    draw hit or miss, so a cache-off run stays bit-identical per seed.
+
+    Attributes
+    ----------
+    simulated_system:
+        Model the zsim-simulated system (applies the profile's constant
+        performance error) rather than the real machine.
+    ideal_memory:
+        Idealized memory (zero-latency/infinite-bandwidth DRAM):
+        removes memory-contention dilation, keeping synchronization
+        overheads — the Sec. VII experiment.
+    """
 
     qps: float = 1000.0
-    n_threads: int = 1
-    configuration: str = "integrated"
     warmup_requests: int = 500
     measure_requests: int = 5000
-    seed: int = 0
-    #: Model the zsim-simulated system (applies the profile's constant
-    #: performance error) rather than the real machine.
     simulated_system: bool = False
-    #: Idealized memory (zero-latency/infinite-bandwidth DRAM): removes
-    #: memory-contention dilation, keeping synchronization overheads —
-    #: the Sec. VII experiment.
     ideal_memory: bool = False
-    deterministic_arrivals: bool = False
-    #: Fault plan to replay in virtual time (None = healthy run).
-    faults: Optional[FaultPlan] = None
-    #: Client-side recovery policy (deadlines/retries/hedging).
-    resilience: ResilienceConfig = NO_RESILIENCE
-    #: Bound on the simulated server's request queue (None = unbounded);
-    #: arrivals beyond it are shed. With ``n_servers > 1`` the bound
-    #: applies per instance, as in the live harness.
-    queue_capacity: Optional[int] = None
-    #: Independent server replicas behind the balancer, each with its
-    #: own queue, worker pool, and service-time stream. 1 reproduces
-    #: the original single-server simulator bit-for-bit.
-    n_servers: int = 1
-    #: Client count, accepted for API parity with the live harness. In
-    #: virtual time the round-robin schedule split re-merges into the
-    #: identical event sequence, so this never changes results — the
-    #: open-loop process is invariant under client count by design.
-    n_clients: int = 1
-    #: Routing policy (see :mod:`repro.core.balancer`):
-    #: ``round_robin`` / ``random`` / ``power_of_two`` / ``jsq``.
-    balancer: str = "round_robin"
-    #: Tracing/metrics policy (see :mod:`repro.obs`). Off by default;
-    #: when on, the simulator emits the same event schema as the live
-    #: harness and samples metrics as a recurring virtual-time event.
-    observability: ObservabilityConfig = NO_OBSERVABILITY
-    #: SLO-driven control plane (see :mod:`repro.control`). Off by
-    #: default; control ticks become recurring virtual-time events, so
-    #: controlled runs stay deterministic under a fixed seed.
-    control: ControlPlaneConfig = NO_CONTROL
-    #: Dynamic request batching (see :mod:`repro.batching`). Off by
-    #: default; when enabled the simulated servers form the identical
-    #: size-or-deadline batches the live worker loop forms, and a
-    #: batch's service window is one full-price draw plus
-    #: ``sim_marginal_cost`` of each additional member's draw.
-    batching: BatchingConfig = NO_BATCHING
-    #: Optional piecewise ``((duration, qps), ...)`` load schedule
-    #: replacing the constant-rate arrival process (warmup discard is
-    #: skipped; the transient is the measurement).
-    load_profile: Optional[Tuple[Tuple[float, float], ...]] = None
-    #: Failure-aware serving (see :mod:`repro.health`): replica health
-    #: tracking, outlier ejection, circuit breakers, retry budget. Off
-    #: by default — disabled runs build no health objects and replay
-    #: bit-identically to pre-health builds.
-    health: HealthConfig = NO_HEALTH
-    #: Optional chaos :class:`repro.faults.Scenario`; phase boundaries
-    #: become engine events, so scenario replay is deterministic per
-    #: seed. Composes over ``faults`` as the steady-state base plan.
-    scenario: Optional[Scenario] = None
-    #: Scatter-gather request shape (see
-    #: :class:`repro.core.FanoutConfig`): each arrival scatters one
-    #: pinned sub-request to every server and the end-to-end latency
-    #: is the slowest shard's. Off by default; a K=1 fan-out replays
-    #: bit-identically to the unsharded simulator per seed (the
-    #: sub-request schedule, RNG streams, and event order coincide).
-    fanout: FanoutConfig = NO_FANOUT
-    #: Request/result caching tier (see :class:`repro.core.CacheConfig`
-    #: and :mod:`repro.cache`). Off by default. When enabled, arrivals
-    #: carry synthetic Zipfian keys drawn from a *dedicated* RNG stream
-    #: and a hit substitutes ``hit_cost`` for the sampled service time
-    #: — the sample is consumed either way, and the key stream simply
-    #: never exists when disabled, so a cache-off run stays
-    #: bit-identical to pre-cache builds per seed.
-    cache: CacheConfig = NO_CACHE
 
-    def __post_init__(self) -> None:
-        if self.qps <= 0:
-            raise ValueError("qps must be positive")
-        if self.n_threads < 1:
-            raise ValueError("n_threads must be >= 1")
-        if self.warmup_requests < 0 or self.measure_requests < 1:
-            raise ValueError("invalid request counts")
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1 (or None)")
-        if self.n_servers < 1:
-            raise ValueError("n_servers must be >= 1")
-        if self.n_clients < 1:
-            raise ValueError("n_clients must be >= 1")
-        if self.balancer not in BALANCERS:
-            raise ValueError(
-                f"balancer must be one of {sorted(BALANCERS)}, "
-                f"got {self.balancer!r}"
-            )
-        if self.load_profile is not None:
-            if not self.load_profile:
-                raise ValueError("load_profile must have >= 1 segment")
-            for segment in self.load_profile:
-                if len(segment) != 2:
-                    raise ValueError(
-                        "load_profile segments are (duration, qps) pairs"
-                    )
-                duration, qps = segment
-                if duration <= 0 or qps <= 0:
-                    raise ValueError(
-                        "load_profile durations and qps must be positive"
-                    )
-        if self.control.enabled and self.control.autoscaler is not None:
-            scaler = self.control.autoscaler
-            if not (
-                scaler.min_servers <= self.n_servers <= scaler.max_servers
-            ):
-                raise ValueError(
-                    "n_servers must lie within the autoscaler's "
-                    "[min_servers, max_servers] band"
-                )
-        if self.fanout.enabled:
-            # Same composition rules as the live harness: pinned
-            # sub-requests must all be answered for a gather to
-            # complete, so layers that retry, reroute, or drop
-            # individual requests are excluded.
-            if self.n_servers != self.fanout.shards:
-                raise ValueError(
-                    "fan-out requires n_servers == fanout.shards "
-                    f"(n_servers={self.n_servers}, "
-                    f"shards={self.fanout.shards})"
-                )
-            if self.resilience.enabled:
-                raise ValueError(
-                    "resilience retries/hedges reroute pinned "
-                    "sub-requests; disable it under fan-out"
-                )
-            if self.control.enabled or self.health.enabled:
-                raise ValueError(
-                    "control-plane and health policies drop or reroute "
-                    "requests, breaking the gather contract; disable "
-                    "them under fan-out"
-                )
-            if self.faults is not None or self.scenario is not None:
-                raise ValueError(
-                    "fault injection can drop sub-requests, leaving "
-                    "gathers forever incomplete; fan-out does not "
-                    "compose with faults/scenarios"
-                )
-        if self.cache.enabled:
-            if self.batching.enabled:
-                raise ValueError(
-                    "the batched service window prices whole batches "
-                    "and has no per-request hit path; caching does not "
-                    "compose with batching"
-                )
-            if self.fanout.enabled:
-                raise ValueError(
-                    "fan-out sub-requests carry partial per-shard "
-                    "responses; caching does not compose with fan-out"
-                )
-            if (
-                self.resilience.enabled
-                or self.health.enabled
-                or self.faults is not None
-                or self.scenario is not None
-            ):
-                # The resilient-client mirror submits keyless attempts
-                # (every request would miss), which would silently
-                # defeat the cache; reject rather than mislead. The
-                # live harness does support these combinations — real
-                # apps key on real payloads there.
-                raise ValueError(
-                    "the simulator's synthetic key stream only feeds "
-                    "the direct and routed arrival paths; caching does "
-                    "not compose with resilience/health/faults in sim "
-                    "(use the live harness for those)"
-                )
-
-    @property
-    def total_requests(self) -> int:
-        return self.warmup_requests + self.measure_requests
-
-    def with_qps(self, qps: float) -> "SimConfig":
-        return dataclasses.replace(self, qps=qps)
-
-    def with_seed(self, seed: int) -> "SimConfig":
-        return dataclasses.replace(self, seed=seed)
-
-    def replace(self, **changes) -> "SimConfig":
-        """Copy with the given fields replaced (validation re-runs)."""
-        return dataclasses.replace(self, **changes)
+    RULES = RunConfig.RULES + (
+        (
+            # The resilient-client mirror submits keyless attempts, so
+            # every request would miss and silently defeat the cache.
+            lambda c: c.cache.enabled
+            and (
+                c.resilience.enabled
+                or c.health.enabled
+                or c.faults is not None
+                or c.scenario is not None
+            ),
+            "the simulator's synthetic key stream only feeds the direct "
+            "and routed arrival paths; caching does not compose with "
+            "resilience/health/faults in sim (use the live harness for "
+            "those)",
+        ),
+    )
 
 
 @dataclass(frozen=True)
-class SimResult:
+class SimResult(RunResultMixin):
     """Outcome of one virtual-time run (mirrors HarnessResult)."""
 
     profile_name: str
@@ -289,51 +129,6 @@ class SimResult:
     #: honest under autoscaling membership churn.
     server_activity: Tuple[Tuple[int, int, float], ...] = ()
 
-    def per_server_qps(self) -> Dict[int, float]:
-        """Completions per second of *active window*, per instance."""
-        return {
-            server_id: (completed / active if active > 0 else 0.0)
-            for server_id, completed, active in self.server_activity
-        }
-
-    @property
-    def sojourn(self) -> LatencySummary:
-        return self.stats.summary("sojourn")
-
-    def per_server(self, metric: str = "sojourn") -> Dict[int, LatencySummary]:
-        """Per-instance latency summaries (see CollectedStats.per_server)."""
-        return self.stats.per_server(metric)
-
-    @property
-    def service(self) -> LatencySummary:
-        return self.stats.summary("service")
-
-    @property
-    def queue(self) -> LatencySummary:
-        return self.stats.summary("queue")
-
-    @property
-    def attempt_latency(self) -> LatencySummary:
-        """Per-attempt latency summary (every attempt with a response)."""
-        return self.stats.attempt_summary()
-
-    @property
-    def retry_amplification(self) -> float:
-        """Attempts sent per logical request offered (1.0 = no retries)."""
-        offered = self.outcomes.get("offered", 0)
-        attempts = self.outcomes.get("attempts", 0)
-        if offered == 0 or attempts == 0:
-            return 1.0
-        return attempts / offered
-
-    @property
-    def success_rate(self) -> float:
-        """Fraction of offered logical requests that met their deadline."""
-        offered = self.outcomes.get("offered", 0)
-        if offered == 0:
-            return 1.0
-        return self.outcomes.get("succeeded", 0) / offered
-
     @property
     def saturated(self) -> bool:
         """Offered load at or beyond the server's service capacity."""
@@ -346,54 +141,7 @@ class SimResult:
             f"util={self.utilization:.2f}",
             f"sojourn: {self.sojourn.describe()}",
         ]
-        if self.config.n_servers > 1:
-            lines.append(
-                f"topology: {self.config.n_servers} servers "
-                f"balancer={self.config.balancer} "
-                f"routed={list(self.routed_counts)} "
-                f"alive_workers={list(self.alive_workers)}"
-            )
-        if self.control_counts:
-            c = self.control_counts
-            lines.append(
-                f"control: ticks={c.get('ticks', 0)} "
-                f"admitted={c.get('admitted', 0)} "
-                f"codel_dropped={c.get('codel_dropped', 0)} "
-                f"limit_dropped={c.get('limit_dropped', 0)} "
-                f"scale_ups={c.get('scale_ups', 0)} "
-                f"scale_downs={c.get('scale_downs', 0)} "
-                f"active_servers={c.get('active_servers', 0)}"
-            )
-        if self.health_counts:
-            h = self.health_counts
-            lines.append(
-                f"health: ejections={h.get('ejections', 0)} "
-                f"readmissions={h.get('readmissions', 0)} "
-                f"probes={h.get('probes', 0)} "
-                f"breaker_opens={h.get('breaker_opens', 0)} "
-                f"retries_denied={h.get('retries_denied', 0)}"
-            )
-        if self.cache_counts:
-            cc = self.cache_counts
-            looked = cc.get("hits", 0) + cc.get("misses", 0)
-            rate = cc.get("hits", 0) / looked if looked else 0.0
-            lines.append(
-                f"cache: hit_rate={rate:.1%} hits={cc.get('hits', 0)} "
-                f"misses={cc.get('misses', 0)} "
-                f"expirations={cc.get('expirations', 0)} "
-                f"evictions={cc.get('evictions', 0)}"
-            )
-        if self.outcomes:
-            o = self.outcomes
-            lines.append(
-                f"goodput_qps={self.goodput_qps:.1f} "
-                f"succeeded={o.get('succeeded', 0)} "
-                f"timed_out={o.get('timed_out', 0)} "
-                f"failed={o.get('failed', 0)} shed={o.get('shed', 0)} "
-                f"retries={o.get('retries', 0)} "
-                f"amplification={self.retry_amplification:.2f}"
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + self._layer_lines())
 
 
 class _Topology:
@@ -883,70 +631,21 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
         added_occupancy=network.server_occupancy,
     )
     engine = Engine()
-    # A load profile measures everything (the transient response is the
-    # experiment); steady-state runs keep the warmup-discard methodology.
-    warmup = 0 if config.load_profile is not None else config.warmup_requests
-    collector = StatsCollector(warmup_requests=warmup)
-    if config.scenario is not None:
-        injector: Optional[FaultInjector] = ScenarioInjector(
-            config.scenario, seed=config.seed, base=config.faults
-        )
-    else:
-        injector = (
-            FaultInjector(config.faults, seed=config.seed)
-            if config.faults is not None and not config.faults.is_noop
-            else None
-        )
-    tracer = registry = sampler = None
-    if config.observability.tracing:
-        # Lazy import: the default (tracing-off) simulator path never
-        # touches the obs package.
-        from ..obs import MetricsRegistry, MetricsSampler, Tracer
-
-        tracer = Tracer(capacity=config.observability.trace_capacity)
-        registry = MetricsRegistry()
-    live = None
-    if config.observability.slo.enabled:
-        # Lazy import, same policy as the tracer: runs without the
-        # streaming SLO layer never touch repro.obs.live. Windows
-        # anchor at virtual t=0 — the simulator's run start — so
+    layers = build_layers(config)
+    injector, tracer, registry = layers.injector, layers.tracer, layers.registry
+    live, plane, health, cache = (
+        layers.live, layers.plane, layers.health, layers.cache
+    )
+    schedule = layers.schedule
+    collector = StatsCollector(warmup_requests=layers.warmup)
+    if live is not None:
+        # Windows anchor at virtual t=0 — the simulator's run start — so
         # boundaries are deterministic and fault onsets alignable.
-        from ..obs.live import LiveObs
-
-        live = LiveObs(
-            config.observability.slo, tracer=tracer, seed=config.seed
-        )
         live.set_origin(0.0)
-    plane = None
-    if config.control.enabled:
-        # Same lazy-import policy: uncontrolled runs never touch the
-        # control package.
-        from ..control import ControlPlane
-
-        plane = ControlPlane(config.control, seed=config.seed, tracer=tracer)
-    batch_policy = None
-    if config.batching.enabled:
-        # Same lazy-import policy: unbatched runs never touch the
-        # batching package (beyond the config dataclass itself).
-        from ..batching import BatchPolicy
-
-        batch_policy = BatchPolicy.from_config(config.batching)
-    health = None
-    if config.health.enabled:
-        # Same lazy-import policy: health-off runs never touch the
-        # health package (beyond the config dataclass itself).
-        from ..health import HealthManager
-
-        health = HealthManager(config.health, tracer=tracer)
-    cache = None
     next_cache_key = None
-    if config.cache.enabled:
-        # Same lazy-import policy: cache-off runs never touch the cache
-        # package (beyond the config dataclass itself).
-        from ..cache import build_cache
+    if cache is not None:
         from ..stats import ZipfianGenerator
 
-        cache = build_cache(config.cache, tracer=tracer)
         # The synthetic key stream gets its own RNG, constructed only
         # here: a cache-off run draws nothing extra anywhere, so its
         # arrival schedule and per-server service streams — hence its
@@ -982,7 +681,7 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
             tracer=tracer,
             gate=plane.gate_for(server_id) if plane is not None else None,
             buffer=plane.make_buffer() if plane is not None else None,
-            batching=batch_policy,
+            batching=layers.batching,
             batch_marginal_cost=config.batching.sim_marginal_cost,
             live=live,
             cache=cache,
@@ -1003,40 +702,15 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
     )
     if injector is not None:
         injector.start_run(0.0)
-        if registry is not None:
-            injector.register_metrics(registry)
     if isinstance(injector, ScenarioInjector):
         # Phase boundaries become ordinary engine events — single
         # threaded playback, bit-identical per seed (the live harness
         # uses a driver thread at the same offsets).
         for offset in injector.scenario.boundaries():
             engine.at(offset, injector.advance_to, offset)
-    if health is not None and registry is not None:
-        health.register_metrics(registry)
-    if live is not None and registry is not None:
-        live.register_metrics(registry)
-    if cache is not None and registry is not None:
-        cache.register_metrics(registry)
-    if config.load_profile is not None:
-        schedule = ArrivalSchedule.piecewise(
-            config.load_profile,
-            seed=config.seed,
-            deterministic=config.deterministic_arrivals,
-        )
-        profile_time = sum(d for d, _ in config.load_profile)
-        offered_qps = len(schedule) / profile_time
-    else:
-        process = (
-            DeterministicArrivals(config.qps)
-            if config.deterministic_arrivals
-            else PoissonArrivals(config.qps)
-        )
-        schedule = ArrivalSchedule.generate(
-            process, config.total_requests, seed=config.seed
-        )
-        offered_qps = config.qps
-    n_offered = len(schedule)
+    sampler = None
     if registry is not None:
+        layers.register_metrics()
         # Same gauge families the live transport registers, read lazily
         # from existing counters — sampling is a recurring virtual-time
         # event, not a thread, bounded by the arrival horizon so the
@@ -1078,6 +752,8 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
             "tb_inflight", help="Attempts in flight across all servers",
             fn=(lambda t=topology: sum(t.depths())),
         )
+        from ..obs import MetricsSampler
+
         sampler = MetricsSampler(
             registry, engine.clock,
             interval=config.observability.metrics_interval,
@@ -1127,7 +803,7 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
 
         fanout_gatherer = FanoutGatherer(
             config.fanout.shards, collector, merge=None,
-            warmup=warmup, tracer=tracer,
+            warmup=layers.warmup, tracer=tracer,
         )
         topology.set_response_callback(fanout_gatherer.on_complete)
         for generated_at in schedule:
@@ -1182,76 +858,40 @@ def simulate_load(profile: AppProfile, config: SimConfig) -> SimResult:
     if client is not None:
         client.finalize()
     elapsed = engine.now
-    obs = None
-    if tracer is not None:
-        from ..obs import ObsResult, prometheus_text
-
+    if sampler is not None:
         sampler.sample()  # final sample at the run's last instant
-        obs = ObsResult(
-            events=tracer.events(),
-            dropped=tracer.dropped,
-            series=sampler.series,
-            snapshot=registry.snapshot(),
-            prom=prometheus_text(registry),
-            live=live.finish(elapsed) if live is not None else None,
-        )
-    stats = collector.snapshot()
-    outcomes = collector.outcome_counts()
-    if not collector.outcomes_used:
-        outcomes["offered"] = n_offered
-        # Under fan-out each logical arrival costs `shards` attempts
-        # (the scatter amplification); at K=1 this reduces to the
-        # unsharded tally, keeping the fingerprint bit-identical.
-        outcomes["attempts"] = n_offered * (
-            config.fanout.shards if config.fanout.enabled else 1
-        )
-        outcomes["succeeded"] = stats.count + stats.dropped_warmup
-        outcomes["shed"] = sum(server.shed_count for server in servers)
-    goodput = outcomes.get("succeeded", 0) / elapsed if elapsed > 0 else 0.0
-    total_busy = sum(server.busy_time for server in servers)
+    fields = layers.result_fields(
+        collector, sampler, 0.0, elapsed,
+        [
+            (
+                server.server_id,
+                server.good_completed,
+                server.started_at,
+                server.drained_at,
+            )
+            for server in servers
+        ],
+        shed=sum(server.shed_count for server in servers),
+    )
     # Capacity integrates each replica's *active window* — for a static
     # topology every window equals the whole run and this reduces to
     # elapsed * n_threads * n_servers; under autoscaling it charges a
     # late-joining or early-drained replica only for its tenure.
-    server_activity = tuple(
-        (
-            server.server_id,
-            server.good_completed,
-            max(
-                (
-                    server.drained_at
-                    if server.drained_at is not None
-                    else elapsed
-                )
-                - server.started_at,
-                0.0,
-            ),
-        )
-        for server in servers
-    )
     capacity = sum(
-        active * config.n_threads for _, _, active in server_activity
+        active * config.n_threads for _, _, active in fields["server_activity"]
     )
+    total_busy = sum(server.busy_time for server in servers)
     return SimResult(
         profile_name=profile.name,
         config=config,
-        stats=stats,
-        offered_qps=offered_qps,
         utilization=total_busy / capacity if capacity > 0 else 0.0,
         virtual_time=elapsed,
-        outcomes=outcomes,
-        goodput_qps=goodput,
-        fault_counts=injector.counts() if injector is not None else {},
         alive_workers=tuple(server.workers_alive for server in servers),
         routed_counts=tuple(topology.routed),
-        obs=obs,
-        control_counts=plane.counts() if plane is not None else {},
-        health_counts=health.counts() if health is not None else {},
         fanout=(
             fanout_gatherer.stats if fanout_gatherer is not None else None
         ),
-        server_activity=server_activity,
-        cache_counts=cache.counts() if cache is not None else {},
+        **fields,
     )
 
 

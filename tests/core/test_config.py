@@ -1,14 +1,25 @@
-"""Tests for harness and system configuration objects."""
+"""Tests for run, harness and system configuration objects."""
+
+import dataclasses
+from pathlib import Path
 
 import pytest
 
+from repro.batching import BatchingConfig
+from repro.control import AdmissionConfig, AutoscalerConfig, ControlPlaneConfig
 from repro.core import (
     PAPER_SYSTEM,
+    CacheConfig,
+    ExecutionConfig,
+    FanoutConfig,
     HarnessConfig,
     ResilienceConfig,
     SystemConfig,
 )
-from repro.faults import FaultPlan
+from repro.core.config import RunConfig
+from repro.faults import FaultPhase, FaultPlan, Scenario
+from repro.health import HealthConfig
+from repro.sim import SimConfig
 
 
 class TestHarnessConfig:
@@ -95,3 +106,101 @@ class TestSystemConfig:
             SystemConfig(cores=0)
         with pytest.raises(ValueError):
             SystemConfig(l3_ways=0)
+
+
+# -- the composition-rule table ------------------------------------------
+
+_PROCESS = ExecutionConfig(mode="process")
+_FANOUT2 = dict(n_servers=2, fanout=FanoutConfig(enabled=True, shards=2))
+_CACHE = CacheConfig(enabled=True)
+_RETRY = ResilienceConfig(max_retries=1)
+
+#: A distinctive fragment of each row's reason -> config kwargs that
+#: trip that row and no other.
+_TRIGGERS = {
+    "autoscaler's": dict(
+        n_servers=1,
+        control=ControlPlaneConfig(
+            enabled=True,
+            autoscaler=AutoscalerConfig(min_servers=2, max_servers=4),
+        ),
+    ),
+    "n_servers == fanout.shards": dict(
+        n_servers=2, fanout=FanoutConfig(enabled=True, shards=4)
+    ),
+    "retries/hedges would reroute": dict(_FANOUT2, resilience=_RETRY),
+    "all-shards-answer": dict(_FANOUT2, health=HealthConfig(enabled=True)),
+    "leaving gathers": dict(_FANOUT2, faults=FaultPlan(drop_rate=0.1)),
+    "per-request hit path": dict(
+        cache=_CACHE, batching=BatchingConfig(enabled=True)
+    ),
+    "only meaningful to their gather": dict(_FANOUT2, cache=_CACHE),
+    "'integrated'": dict(configuration="loopback", execution=_PROCESS),
+    "autoscaler only": dict(
+        execution=_PROCESS,
+        control=ControlPlaneConfig(enabled=True, admission=AdmissionConfig()),
+    ),
+    "static fault plans": dict(
+        execution=_PROCESS,
+        scenario=Scenario(
+            name="burst",
+            phases=(
+                FaultPhase(
+                    start=0.0, duration=1.0, plan=FaultPlan(error_rate=0.5)
+                ),
+            ),
+        ),
+    ),
+    "gather point cannot merge": dict(_FANOUT2, execution=_PROCESS),
+    "caching is threaded-only": dict(cache=_CACHE, execution=_PROCESS),
+    "synthetic key stream": dict(cache=_CACHE, resilience=_RETRY),
+}
+
+
+def _rule_rows():
+    """``(scope, reason)`` per row: shared rows, then each class's own."""
+    shared = RunConfig.RULES
+    rows = [("both", reason) for _, reason in shared]
+    for scope, cls in (("live", HarnessConfig), ("sim", SimConfig)):
+        assert cls.RULES[: len(shared)] == shared
+        rows += [(scope, reason) for _, reason in cls.RULES[len(shared):]]
+    return rows
+
+
+def _construct(cls, kwargs):
+    """Build ``cls`` from the kwargs it has fields for."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in kwargs.items() if k in names})
+
+
+@pytest.mark.parametrize("scope, reason", _rule_rows())
+def test_composition_rule_rejects_on_its_scope_only(scope, reason):
+    (kwargs,) = [kw for key, kw in _TRIGGERS.items() if key in reason]
+    for cls, cls_scope in ((HarnessConfig, "live"), (SimConfig, "sim")):
+        if scope in ("both", cls_scope):
+            with pytest.raises(ValueError) as info:
+                _construct(cls, kwargs)
+            assert str(info.value) == reason
+        else:
+            _construct(cls, kwargs)
+
+
+def test_pair_outside_the_table_constructs_on_both():
+    kwargs = dict(_FANOUT2, batching=BatchingConfig(enabled=True))
+    for cls in (HarnessConfig, SimConfig):
+        assert cls(**kwargs).fanout.enabled
+
+
+def test_design_doc_lists_the_code_table():
+    text = (Path(__file__).parents[2] / "DESIGN.md").read_text()
+    section = text.split("## 16.", 1)[1].split("\n## ", 1)[0]
+    documented = [
+        (cells[0], cells[2])
+        for cells in (
+            [cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines()
+            if line.startswith("|")
+        )
+        if cells[0] in ("both", "live", "sim")
+    ]
+    assert documented == _rule_rows()

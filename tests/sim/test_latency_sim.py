@@ -22,6 +22,8 @@ class TestSimConfig:
             SimConfig(n_threads=0)
         with pytest.raises(ValueError):
             SimConfig(measure_requests=0)
+        with pytest.raises(ValueError):
+            SimConfig(configuration="bogus")
 
     def test_with_qps_and_seed(self):
         config = SimConfig(qps=100, seed=1, ideal_memory=True)
