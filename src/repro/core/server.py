@@ -90,6 +90,7 @@ class Server:
         self._threads: List[threading.Thread] = [
             threading.Thread(
                 target=loop,
+                args=(i,),
                 name=f"tb-s{server_id}-worker-{i}",
                 daemon=True,
             )
@@ -100,10 +101,11 @@ class Server:
         self._errors_lock = threading.Lock()
         self._alive = n_threads
         self._alive_lock = threading.Lock()
-        # Monitoring only: plain int updates (GIL-atomic enough for a
-        # sampled gauge), and a tracer installed only when observability
+        # One busy flag per worker, each written only by its own worker
+        # and summed on read, so no update can be lost and the hot path
+        # takes no lock. The tracer is installed only when observability
         # is on — see Transport.set_observability.
-        self._busy = 0
+        self._busy = [0] * n_threads
         self._tracer = None
 
     @property
@@ -113,7 +115,7 @@ class Server:
     @property
     def busy_workers(self) -> int:
         """Workers currently inside the application service window."""
-        return self._busy
+        return sum(self._busy)
 
     def set_tracer(self, tracer) -> None:
         """Install a tracer for worker-layer fault events."""
@@ -136,15 +138,16 @@ class Server:
         for t in self._threads:
             t.start()
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, slot: int) -> None:
         injector = self._injector
+        busy = self._busy
         while True:
             try:
                 request = self._queue.get()
             except QueueClosed:
                 return
             request.service_start_at = self._clock.now()
-            self._busy += 1
+            busy[slot] = 1
             if injector is not None:
                 pause = injector.worker_pause()
                 if pause > 0.0:
@@ -205,7 +208,7 @@ class Server:
                         server_id=self.server_id,
                     )
             request.service_end_at = self._clock.now()
-            self._busy -= 1
+            busy[slot] = 0
             self._respond(request)
             if injector is not None and injector.worker_crash():
                 # Injected crash: the pool permanently loses a worker.
@@ -218,7 +221,7 @@ class Server:
                     )
                 return
 
-    def _batch_worker_loop(self) -> None:
+    def _batch_worker_loop(self, slot: int) -> None:
         """Batched variant of :meth:`_worker_loop`.
 
         Dequeues size-or-deadline batches (one priority class each, see
@@ -230,6 +233,7 @@ class Server:
         the window by the recorded ``batch_size``.
         """
         injector = self._injector
+        busy = self._busy
         handle_batch = getattr(self._app, "handle_batch", None)
         while True:
             try:
@@ -255,7 +259,7 @@ class Server:
                     "batch_start", start,
                     server_id=self.server_id, value=float(seq),
                 )
-            self._busy += 1
+            busy[slot] = 1
             if injector is not None:
                 pause = injector.worker_pause()
                 if pause > 0.0:
@@ -311,7 +315,7 @@ class Server:
             end = self._clock.now()
             for request in batch:
                 request.service_end_at = end
-            self._busy -= 1
+            busy[slot] = 0
             if self._tracer is not None:
                 self._tracer.emit(
                     "batch_end", end,

@@ -1,5 +1,6 @@
 """Tests for the worker-pool server."""
 
+import sys
 import threading
 import time
 
@@ -104,6 +105,38 @@ class TestServer:
         with pytest.raises(RuntimeError):
             server.start()
         server.shutdown()
+
+    def test_busy_workers_returns_to_zero_after_burst(self):
+        # Eight workers flip their busy flags concurrently, with thread
+        # switches forced often; once every request has been answered
+        # none may be left counted as busy.
+        clock = WallClock()
+        n_requests = 2000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                queue = RequestQueue(clock)
+                done = []
+                all_done = threading.Event()
+
+                def respond(request, done=done, all_done=all_done):
+                    done.append(request)
+                    if len(done) == n_requests:
+                        all_done.set()
+
+                server = Server(EchoApp(), queue, clock, n_threads=8,
+                                respond=respond)
+                server.start()
+                for i in range(n_requests):
+                    submit(queue, i)
+                assert all_done.wait(10.0)
+                # Every worker clears its flag before it responds.
+                assert server.busy_workers == 0
+                server.shutdown()
+                assert server.busy_workers == 0
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_requires_positive_threads(self):
         clock = WallClock()
